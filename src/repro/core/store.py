@@ -50,6 +50,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import enum
+import fcntl
 import functools
 import hashlib
 import json
@@ -300,6 +301,11 @@ class SweepJournal:
         # Binary mode throughout: a torn tail may hold arbitrary bytes,
         # which a utf-8 text handle would refuse to even look at.
         with open(self.path, "ab+") as handle:
+            # The lock keeps another appender's write from landing
+            # between the tail check and this append: a check that sees
+            # half of a neighbour's record would "heal" it with a stray
+            # blank line.
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             # Heal a torn tail from a crash mid-append: if the file
             # doesn't end in a newline, terminate the dead line first
             # so this record stays parseable.

@@ -120,8 +120,8 @@ class Tracer:
         #: span tree, so interleaved sessions cannot corrupt each
         #: other's stack discipline.  Trace ids (``_trace_seq``) and the
         #: finished-roots list stay *shared* and are touched only at
-        #: root open / root close — which the scheduler's strict
-        #: hand-off serialises in deterministic event order, so trace
+        #: root open / root close — which the scheduler's baton
+        #: passing serialises in deterministic event order, so trace
         #: ids and drain order depend on the event schedule, not on
         #: thread identity.  On the serial path there is one thread and
         #: this is byte-identical to the old behaviour.

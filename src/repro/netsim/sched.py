@@ -13,13 +13,35 @@ How a session suspends
 ----------------------
 
 Every session runs on its own pool thread, but **exactly one thread is
-ever runnable**: the event loop hands control to a session, then blocks
-until that session either finishes or suspends; a session suspends only
-inside :meth:`SimClock.advance` / :meth:`SimClock.sleep_until`, which
-push a wake-up event and hand control back.  This strict hand-off is
-what keeps the simulation deterministic — there is no preemption, no
-lock contention, and shared RNG streams (latency jitter, fault rolls)
-are consumed in event order, which the queue makes reproducible.
+ever runnable**: the one holding the *baton*.  Each pool thread, and
+the thread inside :meth:`EventScheduler.run`, owns a lock (its
+*gate*) and blocks on it while someone else holds the baton.  Whoever
+holds the baton runs the event loop itself: it pops the next event
+and, if that event belongs to another thread (a session to resume or
+start), releases that thread's gate and blocks on its own.
+
+A session suspends only inside :meth:`SimClock.advance` /
+:meth:`SimClock.sleep_until`, which push a wake-up event and run the
+loop on the session's own thread.  If the next event is that very
+wake-up — the common case for a cache hit — the call returns with no
+thread switch at all.  Timer callbacks run inline on whichever thread
+holds the baton, with :meth:`EventScheduler.in_session` reading False
+so a ``clock.advance`` inside one mutates the clock serially.  A
+session that finishes keeps the baton and starts the next admitted
+session itself when it can.  When the queue drains, passes ``until``
+or records a failure, the baton goes back to ``run()``.
+
+Events therefore pop in exactly the order a dedicated loop thread
+would pop them, on one runnable thread at a time.  That is what keeps
+the simulation deterministic: there is no preemption, no lock
+contention, and shared RNG streams (latency jitter, fault rolls) are
+consumed in event order, which the queue makes reproducible.
+
+Every gate wait is bounded by :data:`BATON_TIMEOUT`.  A session that
+blocks outside the simulated clock (on a real lock, say) would
+otherwise hang the run silently; instead ``run()`` raises
+:class:`SchedulerError` naming it once a whole interval passes with no
+event popped.
 
 Event ordering and determinism
 ------------------------------
@@ -74,6 +96,11 @@ from collections import deque
 
 from .clock import SimClock
 
+#: Longest one gate wait blocks before it looks for progress, in
+#: seconds.  ``run()`` raises :class:`SchedulerError` when a whole
+#: interval passes without an event being popped.
+BATON_TIMEOUT = 120.0
+
 
 class Priority(enum.IntEnum):
     """Same-instant event ordering (smaller runs first)."""
@@ -101,7 +128,10 @@ class _SessionAborted(BaseException):
 @dataclasses.dataclass
 class SchedulerStats:
     """Operational counters for one scheduler lifetime (kept out of
-    experiment results, like :class:`~repro.core.parallel.ExecutorHealth`)."""
+    experiment results, like :class:`~repro.core.parallel.ExecutorHealth`).
+
+    ``threads_created`` and ``handoffs`` (baton passes between threads)
+    are physical: they describe the host run, not the simulation."""
 
     spawned: int = 0
     completed: int = 0
@@ -113,6 +143,7 @@ class SchedulerStats:
     peak_active: int = 0
     peak_queue: int = 0
     threads_created: int = 0
+    handoffs: int = 0
 
     def describe(self) -> str:
         return (
@@ -120,7 +151,8 @@ class SchedulerStats:
             f"resumes={self.resumes} timers={self.timers} "
             f"queued={self.queued} rejected={self.rejected} "
             f"peak_active={self.peak_active} "
-            f"peak_queue={self.peak_queue} threads={self.threads_created}"
+            f"peak_queue={self.peak_queue} threads={self.threads_created} "
+            f"handoffs={self.handoffs}"
         )
 
 
@@ -138,25 +170,26 @@ class Session:
         self.finished_at: Optional[float] = None
 
 
+def _closed_gate() -> "threading.Lock":
+    gate = threading.Lock()
+    gate.acquire()
+    return gate
+
+
 class _Worker(threading.Thread):
-    """A pooled session runner under the strict hand-off protocol."""
+    """A pooled session runner that runs the loop while it holds the baton."""
 
     def __init__(self, scheduler: "EventScheduler", index: int):
         super().__init__(name=f"sim-session-{index}", daemon=True)
         self.scheduler = scheduler
-        #: Signalled by the loop when a session is assigned (or on close).
-        self.assigned = threading.Event()
-        #: Signalled by the loop to resume a suspended session.
-        self.resume = threading.Event()
+        #: Released by the thread that passes this worker the baton.
+        self.gate = _closed_gate()
         self.session: Optional[Session] = None
 
     def run(self) -> None:  # pragma: no branch - thread body
         scheduler = self.scheduler
-        while True:
-            self.assigned.wait()
-            self.assigned.clear()
-            if scheduler._closing:
-                return
+        scheduler._wait(self.gate)
+        while not scheduler._closing:
             session = self.session
             assert session is not None
             try:
@@ -166,6 +199,9 @@ class _Worker(threading.Thread):
             except BaseException as exc:  # noqa: BLE001 - reported to run()
                 scheduler._note_failure(session, exc)
             scheduler._finish_session(self, session)
+            # Still holding the baton: run the loop until this worker is
+            # handed a new session (or the pool closes).
+            scheduler._dispatch(self.gate)
 
 
 class EventScheduler:
@@ -212,14 +248,22 @@ class EventScheduler:
         self.stats = SchedulerStats()
         self._heap: List[Tuple[float, int, Tuple[int, ...], int, Tuple[Any, ...]]] = []
         self._seq = 0
-        self._control = threading.Event()
+        #: The gate of whichever thread is inside :meth:`run`.
+        self._gate = _closed_gate()
+        #: The worker last handed the baton (``None``: the run thread).
+        self._holder: Optional[_Worker] = None
+        self._until: Optional[float] = None
+        #: True while a timer callback runs inline on the baton holder.
+        self._in_loop = False
         self._workers: List[_Worker] = []
         self._idle: List[_Worker] = []
         self._admission: Deque[Session] = deque()
         self._active = 0
         self._running = False
         self._closing = False
-        self._failure: Optional[Tuple[Session, BaseException]] = None
+        #: What the current ``run()`` raises when the baton returns: a
+        #: wrapped session failure, or a timer callback's own exception.
+        self._failure: Optional[BaseException] = None
         clock.bind_scheduler(self)
 
     # ------------------------------------------------------------------
@@ -236,7 +280,10 @@ class EventScheduler:
 
     def in_session(self) -> bool:
         """True when the calling thread is one of this scheduler's
-        session threads (the clock uses this to decide suspend-vs-mutate)."""
+        session threads running its session, not a timer callback (the
+        clock uses this to decide suspend-vs-mutate)."""
+        if self._in_loop:
+            return False
         current = threading.current_thread()
         return isinstance(current, _Worker) and current.scheduler is self
 
@@ -294,20 +341,23 @@ class EventScheduler:
         tiebreak: Tuple[int, ...] = (),
     ) -> None:
         """Schedule a plain callback (fault window, aggregation-window
-        boundary) on the loop thread.  Callbacks must not block or
-        advance the clock; they observe the instant they fire at."""
+        boundary).  It runs inline on whichever thread holds the baton,
+        so it must not block or rely on thread-local state; a
+        ``clock.advance`` inside it mutates the clock serially."""
         self._push(when, priority, tuple(tiebreak), ("call", fn, label))
 
     def wait_until(self, deadline: float, *, priority: Optional[int] = None) -> float:
         """Suspend the calling session until simulated *deadline*.
 
         Called (via :meth:`SimClock.advance` / ``sleep_until``) from
-        inside a session thread; schedules the wake-up and hands control
-        back to the event loop.  Returns the clock reading on resume —
-        exactly *deadline*, the same float the serial path computes.
+        inside a session thread; schedules the wake-up and runs the loop
+        until it pops.  Returns the clock reading on resume — exactly
+        *deadline*, the same float the serial path computes.
         """
         worker = threading.current_thread()
-        if not (isinstance(worker, _Worker) and worker.scheduler is self):
+        if self._in_loop or not (
+            isinstance(worker, _Worker) and worker.scheduler is self
+        ):
             raise SchedulerError("wait_until() called outside a session")
         session = worker.session
         assert session is not None
@@ -318,9 +368,7 @@ class EventScheduler:
             session.tiebreak,
             ("resume", worker),
         )
-        worker.resume.clear()
-        self._control.set()
-        worker.resume.wait()
+        self._dispatch(worker.gate)
         if self._closing:
             raise _SessionAborted()
         return self._clock.now
@@ -332,51 +380,107 @@ class EventScheduler:
     def run(self, until: Optional[float] = None) -> SchedulerStats:
         """Dispatch events in deterministic order until the queue is
         empty (or past *until*).  Raises the first session failure, if
-        any, after winding down cleanly.  Returns :attr:`stats`."""
+        any, after winding down cleanly; a timer callback's exception
+        propagates unwrapped.  Returns :attr:`stats`."""
         if self._running:
             raise SchedulerError("run() re-entered")
         if self.in_session():
             raise SchedulerError("run() called from inside a session")
         self._running = True
+        self._until = until
         try:
-            while self._heap and self._failure is None:
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    break
-                when, priority, tiebreak, _seq, payload = heapq.heappop(self._heap)
-                self._clock._jump_to(when)
-                kind = payload[0]
-                if kind == "resume":
-                    worker = payload[1]
-                    self.stats.resumes += 1
-                    self._record("resume", worker.session)
-                    self._handoff(worker.resume)
-                elif kind == "start":
-                    self._admit(payload[1])
-                elif kind == "call":
-                    _, fn, label = payload
-                    self.stats.timers += 1
-                    self._record_label("timer", label)
-                    fn()
-                else:  # pragma: no cover - defensive
-                    raise AssertionError(f"unknown event kind {kind!r}")
+            self._dispatch(self._gate)
         finally:
             self._running = False
-        if self._failure is not None:
-            session, error = self._failure
-            self._failure = None
-            raise SchedulerError(
-                f"session {session.label or '<unnamed>'!s} failed: {error!r}"
-            ) from error
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
         return self.stats
 
-    def _handoff(self, gate: threading.Event) -> None:
-        """Wake one session thread and block until it suspends/finishes."""
-        gate.set()
-        self._control.wait()
-        self._control.clear()
+    def _dispatch(self, gate: "threading.Lock") -> None:
+        """Run the loop on the calling thread, which holds the baton,
+        until the next event belongs to *gate*'s owner (the caller).  If
+        it belongs to another thread, pass the baton there and wait for
+        it to come back."""
+        if self._closing:
+            return
+        target = self._next_gate()
+        if target is not gate:
+            self.stats.handoffs += 1
+            target.release()
+            self._wait(gate)
 
-    def _admit(self, session: Session) -> None:
+    def _next_gate(self) -> "threading.Lock":
+        """Pop events, running timer callbacks inline, until one needs a
+        thread; return that thread's gate (``run()``'s when done)."""
+        heap = self._heap
+        until = self._until
+        stats = self.stats
+        while heap and self._failure is None:
+            if until is not None and heap[0][0] > until:
+                break
+            when, _priority, _tiebreak, _seq, payload = heapq.heappop(heap)
+            self._clock._jump_to(when)
+            kind = payload[0]
+            if kind == "resume":
+                worker = payload[1]
+                stats.resumes += 1
+                self._record("resume", worker.session)
+                self._holder = worker
+                return worker.gate
+            if kind == "start":
+                worker = self._admit(payload[1])
+                if worker is not None:
+                    self._holder = worker
+                    return worker.gate
+            elif kind == "call":
+                _, fn, label = payload
+                stats.timers += 1
+                self._record_label("timer", label)
+                self._call_inline(fn)
+            else:  # pragma: no cover - defensive
+                raise AssertionError(f"unknown event kind {kind!r}")
+        self._holder = None
+        return self._gate
+
+    def _call_inline(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run loop work (a timer callback, ``on_reject``) on the baton
+        holder; its exception is what ``run()`` raises."""
+        self._in_loop = True
+        try:
+            fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - run() raises it
+            self._failure = exc
+        finally:
+            self._in_loop = False
+
+    def _wait(self, gate: "threading.Lock") -> None:
+        """Block until the baton is passed to *gate*'s owner.  Workers
+        give up only when the pool closes.  Once a whole
+        :data:`BATON_TIMEOUT` passes with no event popped, the run
+        thread closes the scheduler and raises."""
+        popped = self._seq - len(self._heap)
+        while not gate.acquire(True, BATON_TIMEOUT):
+            if self._closing:
+                return
+            if gate is not self._gate:
+                continue
+            now_popped = self._seq - len(self._heap)
+            if now_popped == popped:
+                session = self._holder.session if self._holder else None
+                if self._in_loop or session is None:
+                    who = "a timer callback"
+                else:
+                    who = f"session {session.label or '<unnamed>'}"
+                self.close()
+                raise SchedulerError(
+                    f"{who} has held the baton for {BATON_TIMEOUT}s "
+                    f"without an event popping: it is blocked outside "
+                    f"the simulated clock"
+                )
+            popped = now_popped
+
+    def _admit(self, session: Session) -> Optional[_Worker]:
         if self._active >= self._max_concurrent:
             if (
                 self._max_queue is not None
@@ -386,16 +490,16 @@ class EventScheduler:
                 self.stats.rejected += 1
                 self._record("rejected", session)
                 if self._on_reject is not None:
-                    self._on_reject(session)
-                return
+                    self._call_inline(self._on_reject, session)
+                return None
             self._admission.append(session)
             self.stats.queued += 1
             self.stats.peak_queue = max(self.stats.peak_queue, len(self._admission))
             self._record("queued", session)
-            return
-        self._activate(session)
+            return None
+        return self._activate(session)
 
-    def _activate(self, session: Session) -> None:
+    def _activate(self, session: Session) -> _Worker:
         self._active += 1
         self.stats.peak_active = max(self.stats.peak_active, self._active)
         session.started_at = self._clock.now
@@ -408,12 +512,11 @@ class EventScheduler:
             worker.start()
         worker.session = session
         self._record("start", session)
-        self._handoff(worker.assigned)
+        return worker
 
     def _finish_session(self, worker: _Worker, session: Session) -> None:
-        """Worker-side epilogue (still the single runnable thread):
-        release the slot, requeue the worker, pull the next admission,
-        then hand control back to the loop."""
+        """Worker-side epilogue (the worker holds the baton): release
+        the slot, requeue the worker, pull the next admission."""
         session.done = True
         session.finished_at = self._clock.now
         worker.session = None
@@ -428,12 +531,15 @@ class EventScheduler:
                 self._clock.now, Priority.DISPATCH, queued.tiebreak,
                 ("start", queued),
             )
-        self._control.set()
 
     def _note_failure(self, session: Session, error: BaseException) -> None:
         self.stats.failed += 1
         if self._failure is None:
-            self._failure = (session, error)
+            failure = SchedulerError(
+                f"session {session.label or '<unnamed>'!s} failed: {error!r}"
+            )
+            failure.__cause__ = error
+            self._failure = failure
 
     # ------------------------------------------------------------------
     # Journal
@@ -454,15 +560,18 @@ class EventScheduler:
 
     def close(self) -> None:
         """Tear down the pool and unbind the clock.  Suspended sessions
-        (possible only after a failed run) are aborted, not resumed."""
+        (possible only after a failed run) are aborted, not resumed.  A
+        session stuck outside the clock still holds the baton; it is
+        left to its own thread."""
         if self._closing:
             return
         self._closing = True
         for worker in self._workers:
-            worker.assigned.set()
-            worker.resume.set()
+            if worker.gate.locked():
+                worker.gate.release()
         for worker in self._workers:
-            worker.join(timeout=5.0)
+            if worker is not self._holder:
+                worker.join(timeout=5.0)
         self._workers.clear()
         self._idle.clear()
         self._admission.clear()

@@ -32,10 +32,10 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="needs fork")
 
 
-def _append_burst(path, writer, count):
+def _append_burst(path, writer, count, pad=""):
     journal = SweepJournal(Path(path))
     for index in range(count):
-        journal.record("burst", writer=writer, index=index)
+        journal.record("burst", writer=writer, index=index, pad=pad)
 
 
 def _check_burst(path, writers, count):
@@ -67,6 +67,27 @@ def test_concurrent_thread_appenders(tmp_path):
         thread.join()
     _check_burst(path, APPENDERS, RECORDS_EACH)
     assert len(SweepJournal(path).events()) == APPENDERS * RECORDS_EACH
+
+
+def test_tail_check_never_sees_a_half_landed_record(tmp_path):
+    """Regression: a record larger than a page lands in pieces, and an
+    appender that checked the tail mid-landing used to "heal" it with a
+    stray blank line.  Many short bursts of such records make that
+    window likely; every line must be one whole record."""
+    writers, count = 4, 10
+    for burst in range(40):
+        path = tmp_path / f"journal-{burst}.jsonl"
+        threads = [
+            threading.Thread(
+                target=_append_burst, args=(path, writer, count, "x" * 20000)
+            )
+            for writer in range(writers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        _check_burst(path, writers, count)
 
 
 @needs_fork

@@ -8,9 +8,13 @@ Three load-bearing properties:
 * **Race semantics** — a response delivery at exactly the timeout
   instant wins (the query is answered, not dropped); regression-pinned
   because the network layer relies on it.
-* **Strict hand-off** — exactly one runnable thread, bounded admission,
-  pooled workers; sessions interleave only at clock suspensions.
+* **Baton passing** — exactly one runnable thread, bounded admission,
+  pooled workers; sessions interleave only at clock suspensions, and
+  loop work moves to whichever thread holds the baton without changing
+  what the caller of ``run()`` sees.
 """
+
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +25,7 @@ from repro.netsim import (
     SchedulerError,
     SimClock,
 )
+from repro.netsim import sched
 
 
 def make_scheduler(max_concurrent=256):
@@ -320,6 +325,9 @@ def test_pool_threads_are_reused_across_sessions():
         stats = scheduler.run()
     assert stats.completed == 20
     assert stats.threads_created == 1  # sessions never overlap here
+    # Out to the first session and back to run(): a finished session
+    # starts the next one itself, and its own resumes switch no thread.
+    assert stats.handoffs <= 2
 
 
 # ----------------------------------------------------------------------
@@ -405,3 +413,125 @@ def test_serial_clock_without_scheduler_is_untouched():
     clock.sleep_until(3.0)
     clock.sleep_until(1.0)  # past: clamps, no-op
     assert clock.now == 3.0
+
+
+# ----------------------------------------------------------------------
+# Baton passing: loop work runs on whichever thread holds the baton
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("in_flight", [False, True])
+def test_timer_exception_surfaces_unwrapped(in_flight):
+    """A callback's exception reaches the caller of ``run()`` as itself,
+    also when a suspended session's thread ran the callback."""
+    scheduler, _ = make_scheduler()
+    clock = scheduler.clock
+    ran_on = []
+
+    def boom():
+        ran_on.append(threading.current_thread())
+        raise KeyError("window")
+
+    with scheduler:
+        if in_flight:
+            scheduler.spawn(lambda: clock.advance(2.0), label="waiting")
+        scheduler.call_at(1.0, boom)
+        with pytest.raises(KeyError, match="window"):
+            scheduler.run()
+    assert (ran_on[0] is threading.current_thread()) is not in_flight
+
+
+def test_advance_inside_timer_mutates_clock_serially():
+    scheduler, _ = make_scheduler()
+    clock = scheduler.clock
+    seen = []
+
+    def session():
+        clock.advance(2.0)
+        seen.append(("session", clock.now))
+
+    def timer():
+        seen.append(("in_session", scheduler.in_session()))
+        seen.append(("advanced", clock.advance(0.5)))
+
+    with scheduler:
+        scheduler.spawn(session)
+        scheduler.call_at(1.0, timer)
+        scheduler.run()
+    assert seen == [
+        ("in_session", False),
+        ("advanced", 1.5),
+        ("session", 2.0),
+    ]
+
+
+def test_run_until_then_run_resumes_suspended_sessions():
+    scheduler, _ = make_scheduler()
+    clock = scheduler.clock
+    readings = []
+
+    def session():
+        for _ in range(3):
+            clock.advance(1.0)
+            readings.append(clock.now)
+
+    with scheduler:
+        scheduler.spawn(session)
+        scheduler.run(until=1.5)
+        assert readings == [1.0]
+        assert scheduler.pending() == 1
+        scheduler.run()
+    assert readings == [1.0, 2.0, 3.0]
+
+
+def test_close_after_failed_run_aborts_suspended_sessions():
+    threads_before = threading.active_count()
+    scheduler, _ = make_scheduler()
+    clock = scheduler.clock
+    resumed = []
+
+    def waiting():
+        clock.advance(10.0)
+        resumed.append(clock.now)
+
+    def boom():
+        clock.advance(1.0)
+        raise ValueError("lost my zone")
+
+    scheduler.spawn(waiting, label="waiting")
+    scheduler.spawn(boom, label="broken")
+    with pytest.raises(SchedulerError, match="broken"):
+        scheduler.run()
+    scheduler.close()
+    assert resumed == []
+    assert threading.active_count() == threads_before
+
+
+def test_session_blocked_outside_the_clock_is_named(monkeypatch):
+    """A session waiting on a real event would hang the run; instead
+    ``run()`` closes the scheduler and raises once a whole baton
+    interval passes with no event popped.  ``close()`` still returns."""
+    monkeypatch.setattr(sched, "BATON_TIMEOUT", 0.05)
+    never = threading.Event()
+    scheduler, _ = make_scheduler()
+    clock = scheduler.clock
+
+    def stuck():
+        clock.advance(1.0)
+        never.wait()
+
+    scheduler.spawn(lambda: clock.advance(5.0), label="fine")
+    scheduler.spawn(stuck, label="stuck-on-a-lock")
+    with pytest.raises(SchedulerError, match="stuck-on-a-lock"):
+        scheduler.run()
+    assert clock.scheduler is None
+    scheduler.close()
+    # Let the stuck thread finish so it does not outlive the test.
+    stuck_threads = [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("sim-session-")
+    ]
+    never.set()
+    for thread in stuck_threads:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
